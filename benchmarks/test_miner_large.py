@@ -57,7 +57,7 @@ def test_miner_large_corpus(tmp_path, monkeypatch):
         logdir, target_mb * 1024 * 1024, seed=DEFAULT_SEED
     )
 
-    miner = LogMiner(fast=True)
+    miner = LogMiner()
 
     # read(2) first: its rounds warm the page cache, so neither path
     # pays the cold-cache penalty inside its best-of-N window.

@@ -1,4 +1,4 @@
-"""Miner throughput: streaming single-pass dispatch vs the pre-PR miner.
+"""Miner throughput: the byte-scanning miner vs its predecessors.
 
 Generates a synthetic multi-application log corpus (RM + NM + one
 stream per container, with realistic executor chatter as noise),
@@ -6,12 +6,16 @@ measures lines/sec for
 
 * the **legacy** miner (the pre-streaming implementation: list
   materialization plus a cascade of up to five regex attempts per
-  container-log line), kept here verbatim as the comparison baseline;
-* the current **serial** miner (prefix-gated single alternation);
-* the **legacy directory** path (``LogMiner(fast=False)``: text-mode
-  record streaming off disk, per-daemon parallelism);
-* the **fast directory** path (``LogMiner(fast=True)``: two-phase byte
-  scanning, chunk partitioning), serial and at ``--jobs 4``;
+  container-log line) over the parsed store records, kept here
+  verbatim as the comparison baseline;
+* the **serial store** path (:class:`LogMiner` over the in-memory
+  :class:`LogStore`: the byte scanner over the store's log4j bytes);
+* the **legacy directory** path (the record-stream reference miner in
+  ``tests/reference_miner.py``: text-mode record streaming off disk,
+  one ``classify_parse`` per line);
+* the **fast directory** path (:class:`LogMiner` over the dumped
+  directory: two-phase byte scanning, chunk partitioning), serial and
+  at ``--jobs 4``;
 
 asserts they all agree event-for-event, and appends a trajectory
 point to ``benchmarks/results/BENCH_miner.json``.
@@ -38,6 +42,7 @@ from repro.core.events import EventKind, SchedulingEvent
 from repro.core.parser import LogMiner, available_cpus
 from repro.logsys.record import LogRecord
 from repro.logsys.store import LogStore
+from tests.reference_miner import ReferenceMiner
 
 RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_FILE = RESULTS_DIR / "BENCH_miner.json"
@@ -276,10 +281,10 @@ def test_miner_throughput(benchmark, scale, tmp_path):
     logdir = tmp_path / "corpus"
     store.dump(logdir)
 
-    legacy_dir_miner = LogMiner(fast=False)
-    fast_miner = LogMiner(fast=True)
+    legacy_dir_miner = ReferenceMiner()
+    fast_miner = LogMiner()
     legacy_events, legacy_s = _time_best(LegacyLogMiner().mine, store)
-    serial_events, serial_s = _time_best(legacy_dir_miner.mine, store)
+    serial_events, serial_s = _time_best(fast_miner.mine, store)
     serial_dir_events, serial_dir_s = _time_best(legacy_dir_miner.mine, str(logdir))
     fast_serial_events, fast_serial_s = _time_best(fast_miner.mine, str(logdir))
     fast_parallel_events, fast_parallel_s = _time_best(

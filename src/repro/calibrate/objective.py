@@ -3,12 +3,12 @@
 A candidate is a dict of knob overrides (see
 :mod:`repro.calibrate.space`).  Evaluating it compiles the overrides
 onto the replay scenario, runs the testbed to completion at the fixed
-replay seed, dumps the emitted log4j files to a scratch directory, and
-mines them with the fast-path SDchecker — the *same* path a target
-corpus is mined through, so a candidate whose parameters exactly match
-the target's generator reproduces the target decomposition byte for
-byte and scores error 0 (the self-fit identity the acceptance suite
-pins).
+replay seed, and mines the emitted log4j lines in memory with
+SDchecker — the *same* byte scanner a target corpus is mined through,
+and the same bytes a dump would write, so a candidate whose parameters
+exactly match the target's generator reproduces the target
+decomposition byte for byte and scores error 0 (the self-fit identity
+the acceptance suite pins).  A trial does no filesystem I/O.
 
 The score is a weighted per-component error over the paper's
 decomposition: queue wait, AM launch, driver, localization, ramp, and
@@ -20,7 +20,6 @@ fixed missing-penalty, and a component absent from both sides is free.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -252,22 +251,18 @@ def apply_overrides(scenario: Scenario, overrides: Mapping[str, Any]) -> Scenari
 
 
 def mine_scenario(scenario: Scenario, seed: int) -> AnalysisReport:
-    """Simulate one scenario and mine its *dumped* logs.
+    """Simulate one scenario and mine its in-memory logs.
 
-    Dumping before mining matters twice: the directory path is the
-    byte-scanning fast path, and the millisecond log4j timestamp
-    rendering is applied — the same quantization any on-disk target
-    corpus went through, which is what makes the self-fit identity
-    exact instead of merely close.
+    The store holds the rendered log4j lines, so mining it applies the
+    same millisecond quantization any on-disk target corpus went
+    through — which is what makes the self-fit identity exact instead
+    of merely close — without a round trip through the filesystem.
     """
     bed, monitor = scenario.build(seed)
     bed.run_until_all_finished(limit=scenario.limit_s)
     if monitor is not None:
         monitor.stop()
-    with tempfile.TemporaryDirectory(prefix="repro-calibrate-") as scratch:
-        logdir = f"{scratch}/logs"
-        bed.dump_logs(logdir)
-        return SDChecker(jobs=1).analyze(logdir)
+    return SDChecker().analyze(bed.log_store)
 
 
 def evaluate_candidate(

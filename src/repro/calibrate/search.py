@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+from repro.atomic import write_atomic
 from repro.core.parser import _pool_map, available_cpus
 from repro.params import SimulationParams
 from repro.simul.distributions import RandomSource
@@ -120,9 +121,8 @@ class FittedModel:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def save(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        path.write_text(self.dumps(), encoding="utf-8")
-        return path
+        """Write the artifact crash-atomically: the old file or the new."""
+        return write_atomic(path, self.dumps())
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "FittedModel":

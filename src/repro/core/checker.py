@@ -10,7 +10,7 @@ from repro.core.decompose import decompose
 from repro.core.diagnostics import AppDiagnostics
 from repro.core.graph import SchedulingGraph
 from repro.core.grouping import ApplicationTrace, group_events
-from repro.core.parser import AUTO_JOBS, LogMiner, resolve_jobs
+from repro.core.parser import AUTO_JOBS, LogMiner
 from repro.core.report import AnalysisReport
 from repro.logsys.store import LogStore
 
@@ -51,26 +51,23 @@ class SDChecker:
     group (global-ID binding) -> graph (per-app scheduling DAG) ->
     decompose (delay components) -> report (+ bug check).
 
-    ``jobs`` is a worker-process count or ``"auto"`` (the default),
-    which resolves per source via :func:`repro.core.parser.resolve_jobs`
-    — serial for small corpora or single-CPU machines, a worker pool
-    otherwise.  Parallel mining is byte-identical to serial mining (the
-    chunk/stream merge is deterministic), only faster on large corpora.
+    ``jobs`` is a worker-process count or ``"auto"`` (the default) for
+    mining a directory, which resolves via
+    :func:`repro.core.parser.resolve_jobs` — serial for small corpora or
+    single-CPU machines, a worker pool otherwise.  Parallel mining is
+    byte-identical to serial mining (the chunk merge is deterministic),
+    only faster on large corpora.  A :class:`LogStore` is always mined
+    in-process, and its report is byte-identical to the report of the
+    directory it dumps.
     """
 
     def __init__(self, jobs: Union[int, str] = AUTO_JOBS) -> None:
         self._miner = LogMiner()
         self.jobs = jobs
 
-    def _resolved_jobs(self, source: Union[LogStore, str, Path]) -> int:
-        return resolve_jobs(self.jobs, source)
-
     def mine(self, source: Union[LogStore, str, Path]):
         """Step 1: raw scheduling events."""
-        jobs = self._resolved_jobs(source)
-        if jobs > 1:
-            return self._miner.mine_parallel(source, jobs=jobs)
-        return self._miner.mine(source)
+        return self._miner.mine_parallel(source, jobs=self.jobs)
 
     def group(self, source: Union[LogStore, str, Path]) -> Dict[str, ApplicationTrace]:
         """Steps 1-2: per-application traces."""
@@ -82,10 +79,7 @@ class SDChecker:
 
     def mine_with_diagnostics(self, source: Union[LogStore, str, Path]):
         """Step 1 with the tolerance ledger: (events, MiningDiagnostics)."""
-        jobs = self._resolved_jobs(source)
-        if jobs > 1:
-            return self._miner.mine_parallel_with_diagnostics(source, jobs=jobs)
-        return self._miner.mine_with_diagnostics(source)
+        return self._miner.mine_parallel_with_diagnostics(source, jobs=self.jobs)
 
     def analyze(self, source: Union[LogStore, str, Path]) -> AnalysisReport:
         """The full pipeline: a report over every application found.

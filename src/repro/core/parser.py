@@ -8,20 +8,12 @@ them out) additionally yield the FIRST_LOG and FIRST_TASK events, which
 are positional: *the first line* of the stream, and *the first* "Got
 assigned task" line.
 
-The pipeline is streaming and embarrassingly parallel:
-
-* streams are consumed as iterators (:meth:`LogStore.iter_records` in
-  memory, :func:`iter_segment_records` chunked off disk with rotation
-  segments merged chronologically), so corpus size never bounds memory;
-* each line pays one literal prefix test and at most one precompiled
-  alternation match (:func:`repro.core.messages.classify_container_line`
-  and the prefix gates) instead of a cascade of regex searches;
-* :meth:`LogMiner.mine_parallel` fans the work out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` with a deterministic
-  ordered merge, so its output is byte-identical to :meth:`LogMiner.mine`.
-
-Directory sources take the **byte-oriented fast path**, a two-phase
-pipeline over raw ``bytes`` chunks:
+There is one mining core, a **byte-oriented** two-phase pipeline over
+raw ``bytes`` chunks, and every source is fed through it: a log
+directory as its (possibly split) rotation segments, an in-memory
+:class:`~repro.logsys.store.LogStore` as the log4j bytes it holds per
+stream (exactly what :meth:`LogStore.dump` would write), and a live
+tail (:mod:`repro.live`) one poll at a time.
 
 * **Phase 1** scans each byte line with fixed-offset probes and two
   memos (second-granular timestamp prefixes, ``LEVEL Cls`` heads) and
@@ -33,11 +25,14 @@ pipeline over raw ``bytes`` chunks:
   byte probes cannot decide (non-ASCII, drifted timestamp, unusual
   spacing) falls back to :meth:`LogRecord.classify_parse`, so the fast
   path's decisions are *exactly* the reference reader's.
-* **Phase 2** decodes and fully parses only the surviving lines,
-  emitting compact primitive tuples that the parent rehydrates into
+* **Phase 2** decodes and fully parses only the surviving lines (one
+  precompiled alternation match per candidate, see
+  :func:`repro.core.messages.classify_container_line`), emitting
+  compact primitive tuples that the parent rehydrates into
   :class:`SchedulingEvent` objects — workers never pickle dataclasses.
 
-Parallelism is by deterministic byte-offset chunk: files above
+Directory mining parallelizes by deterministic byte-offset chunk
+(stores are always mined in-process): files above
 :data:`~repro.logsys.store.FAST_SPLIT_THRESHOLD` are partitioned at
 line boundaries (:func:`~repro.logsys.store.partition_file` /
 :func:`~repro.logsys.store.read_chunk`), chunks are mined
@@ -60,12 +55,10 @@ measurement error into invisible bias; this one keeps the ledger.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core import messages as msg
 from repro.core.diagnostics import MiningDiagnostics
@@ -85,7 +78,6 @@ from repro.logsys.store import (
     FAST_SPLIT_THRESHOLD,
     ChunkReader,
     LogStore,
-    iter_segment_records,
     partition_file,
     read_chunk_fast,
     stream_segments,
@@ -102,18 +94,7 @@ __all__ = [
 
 _CONTAINER_DAEMON_RE = msg.CONTAINER_ID_RE
 
-#: A unit of parallel work: the daemon name, either its in-memory
-#: records or the paths of its rotation segments (workers then stream
-#: the files themselves, so record lists never cross the process
-#: boundary twice), and the reader diagnostics accumulated so far.
-_StreamTask = Tuple[
-    str,
-    Optional[Tuple[LogRecord, ...]],
-    Optional[Tuple[str, ...]],
-    Optional[StreamDiagnostics],
-]
-
-# -- byte-oriented directory fast path ----------------------------------------
+# -- byte-oriented mining ------------------------------------------------------
 
 #: Sentinel accepted wherever a job count is taken: pick the worker
 #: count from the machine and the corpus via :func:`resolve_jobs`.
@@ -143,6 +124,11 @@ _AUTO_MAX_JOBS = 4
 #: One chunk of parallel work: (daemon, gate kind, segment path, byte
 #: start, byte end) — pure strings and ints, nothing to pickle slowly.
 _ChunkTask = Tuple[str, Optional[str], str, int, int]
+
+#: One stream's merge plan: (daemon, gate kind, rotation segments, the
+#: stream's chunks in scan order).  The merge only counts the chunks,
+#: so a store stream's single in-memory buffer is a one-element tuple.
+_StreamPlan = Tuple[str, Optional[str], int, Sequence]
 
 _RM_APP_PREFIX_B = msg.RM_APP_LINE_PREFIX.encode("ascii")
 _RM_CONTAINER_PREFIX_B = msg.RM_CONTAINER_LINE_PREFIX.encode("ascii")
@@ -196,7 +182,11 @@ def _pool_map(pool: ProcessPoolExecutor, fn, tasks, chunksize: int = 1):
 
 
 def _gate_kind(daemon: str) -> Optional[str]:
-    """Stream type for phase-1 gating; mirrors :meth:`LogMiner._mine_stream`."""
+    """Stream type for phase-1 gating, by daemon-name shape.
+
+    Streams no gate recognizes are scanned (so their diagnostics are
+    exact) but yield no events — a miner must tolerate noise.
+    """
     if _CONTAINER_DAEMON_RE.match(daemon):
         return "container"
     if daemon.startswith("hadoop-resourcemanager"):
@@ -207,18 +197,21 @@ def _gate_kind(daemon: str) -> Optional[str]:
 
 
 class LogMiner:
-    """Extracts Table I events from a :class:`LogStore` or a directory."""
+    """Extracts Table I events from a :class:`LogStore` or a directory.
+
+    Both sources are log4j bytes scanned by :func:`_scan_chunk` and
+    stitched by :func:`_merge_plans`: a directory contributes its
+    (possibly split) rotation segments, a store one in-memory buffer
+    per stream.  Stores are always mined in-process — at simulator
+    scale they are far below :data:`AUTO_SERIAL_THRESHOLD_LINES`, and
+    shipping their bytes to workers would only re-pickle the corpus.
+    """
 
     def __init__(
         self,
-        fast: bool = True,
         split_threshold: int = FAST_SPLIT_THRESHOLD,
         chunk_target: int = FAST_CHUNK_TARGET,
     ):
-        #: Route directory sources through the byte-oriented fast path.
-        #: ``fast=False`` keeps the record-stream path, retained as the
-        #: executable reference semantics and the benchmark baseline.
-        self.fast = fast
         #: Files above this size are split into byte-range chunks.
         self.split_threshold = split_threshold
         #: Aimed chunk size when splitting.
@@ -232,15 +225,7 @@ class LogMiner:
         self, source: Union[LogStore, str, Path]
     ) -> Tuple[List[SchedulingEvent], MiningDiagnostics]:
         """:meth:`mine` plus the per-stream tolerance ledger."""
-        if self.fast and not isinstance(source, LogStore):
-            return self._mine_directory_fast(source, jobs=1)
-        events: List[SchedulingEvent] = []
-        diagnostics = MiningDiagnostics()
-        for task in self._stream_tasks(source):
-            stream_events, stream_diag = _mine_stream_task(task)
-            events.extend(stream_events)
-            diagnostics.streams[stream_diag.daemon] = stream_diag
-        return events, diagnostics
+        return self.mine_parallel_with_diagnostics(source, jobs=1)
 
     def mine_parallel(
         self, source: Union[LogStore, str, Path], jobs: Union[int, str] = AUTO_JOBS
@@ -254,39 +239,24 @@ class LogMiner:
         """:meth:`mine_with_diagnostics` over ``jobs`` worker processes.
 
         ``jobs`` may be a count or :data:`AUTO_JOBS` (the default),
-        which resolves through :func:`resolve_jobs`.  Work units —
-        byte-range chunks on the fast path, daemon streams otherwise —
+        which resolves through :func:`resolve_jobs`.  Byte-range chunks
         are independent, and results are merged in the order serial
         mining visits them, making the parallel output byte-identical
-        to the serial one.  ``jobs <= 1`` runs inline.
+        to the serial one.  ``jobs <= 1`` — and any :class:`LogStore` —
+        runs inline.
         """
-        jobs = resolve_jobs(jobs, source)
-        if self.fast and not isinstance(source, LogStore):
-            return self._mine_directory_fast(source, jobs=jobs)
-        tasks = self._stream_tasks(source)
-        if jobs <= 1 or len(tasks) <= 1:
-            results = [_mine_stream_task(task) for task in tasks]
-        else:
-            workers = min(jobs, len(tasks))
-            chunksize = max(1, len(tasks) // (4 * workers))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # Executor.map preserves input order: the merge is
-                # deterministic no matter which worker finishes first.
-                results = list(
-                    _pool_map(pool, _mine_stream_task, tasks, chunksize=chunksize)
-                )
-        events = [event for stream_events, _diag in results for event in stream_events]
-        diagnostics = MiningDiagnostics()
-        for _events, stream_diag in results:
-            diagnostics.streams[stream_diag.daemon] = stream_diag
-        return events, diagnostics
+        if isinstance(source, LogStore):
+            plans = [
+                (daemon, _gate_kind(daemon), source.segments(daemon), (daemon,))
+                for daemon in source.daemons
+            ]
+            buffers = ((d, gate, source.data(d)) for d, gate, _n, _c in plans)
+            return _merge_plans(plans, _scan_serially(buffers))
+        return self._mine_directory(source, resolve_jobs(jobs, source))
 
-    # -- byte-oriented directory fast path ---------------------------------
-    def _fast_stream_plans(
-        self, source: Union[str, Path]
-    ) -> List[Tuple[str, Optional[str], int, List[_ChunkTask]]]:
+    def _stream_plans(self, source: Union[str, Path]) -> List[_StreamPlan]:
         """Per-stream chunk plans in (daemon, segment, offset) order."""
-        plans: List[Tuple[str, Optional[str], int, List[_ChunkTask]]] = []
+        plans: List[_StreamPlan] = []
         for daemon, paths in stream_segments(source):
             gate = _gate_kind(daemon)
             chunks: List[_ChunkTask] = [
@@ -299,28 +269,22 @@ class LogMiner:
             plans.append((daemon, gate, len(paths), chunks))
         return plans
 
-    def _mine_directory_fast(
+    def _mine_directory(
         self, source: Union[str, Path], jobs: int
     ) -> Tuple[List[SchedulingEvent], MiningDiagnostics]:
         """Mine a log directory through the two-phase byte pipeline."""
-        plans = self._fast_stream_plans(source)
+        plans = self._stream_plans(source)
         tasks = [chunk for _d, _g, _n, chunks in plans for chunk in chunks]
         if jobs <= 1 or len(tasks) <= 1:
-            # Serial: one memo pair spans the whole run, so a timestamp
-            # second or head seen in any stream stays warm for the next;
-            # one ChunkReader maps each file once, and chunks arrive as
-            # zero-copy memoryview windows over the mapped pages.  The
-            # generator keeps at most one chunk's lines materialized.
+            # Serial: one ChunkReader maps each file once, and chunks
+            # arrive as zero-copy memoryview windows over the mapped
+            # pages.
             reader = ChunkReader()
-            ts_memo = TimestampMemo()
-            head_memo: dict = {}
-            scans = (
-                _scan_chunk(
-                    daemon, gate, reader.chunk(path, start, end), ts_memo, head_memo
-                )
+            buffers = (
+                (daemon, gate, reader.chunk(path, start, end))
                 for daemon, gate, path, start, end in tasks
             )
-            return _merge_plans(plans, scans)
+            return _merge_plans(plans, _scan_serially(buffers))
         workers = min(jobs, len(tasks))
         chunksize = max(1, len(tasks) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -332,210 +296,6 @@ class LogMiner:
             # parent stitches chunk N while workers still scan N+1.
             blobs = _pool_map(pool, _mine_chunk_task, tasks, chunksize=chunksize)
             return _merge_plans(plans, (decode_scan(blob) for blob in blobs))
-
-    # -- stream enumeration ------------------------------------------------
-    def _stream_tasks(self, source: Union[LogStore, str, Path]) -> List[_StreamTask]:
-        """Picklable per-daemon work items, in sorted daemon order.
-
-        For an in-memory store, the reader-side diagnostics are a copy
-        of what :meth:`LogStore.load` recorded (or a synthesized clean
-        ledger — records built in memory were well-formed by
-        construction), so repeated mining never double-counts.
-        """
-        if isinstance(source, LogStore):
-            tasks: List[_StreamTask] = []
-            for daemon in source.daemons:
-                records = source.records(daemon)
-                base = source.stream_diagnostics.get(daemon)
-                if base is not None:
-                    diagnostics = replace(
-                        base, duplicate_records=0, out_of_order=0, recognized=True
-                    )
-                else:
-                    diagnostics = StreamDiagnostics(
-                        daemon=daemon,
-                        lines_total=len(records),
-                        records_parsed=len(records),
-                    )
-                tasks.append((daemon, records, None, diagnostics))
-            return tasks
-        return [
-            (daemon, None, tuple(str(p) for p in paths), None)
-            for daemon, paths in stream_segments(source)
-        ]
-
-    def _mine_stream(
-        self,
-        daemon: str,
-        records: Iterable[LogRecord],
-        diagnostics: Optional[StreamDiagnostics] = None,
-    ) -> List[SchedulingEvent]:
-        """Dispatch one stream to its miner by daemon-name shape."""
-        if diagnostics is not None:
-            records = _observe_duplicates(records, diagnostics)
-        if _CONTAINER_DAEMON_RE.match(daemon):
-            return self._mine_container_stream(daemon, records)
-        if daemon.startswith("hadoop-resourcemanager"):
-            return self._mine_rm_stream(daemon, records)
-        if daemon.startswith("hadoop-nodemanager"):
-            return self._mine_nm_stream(daemon, records)
-        # Unknown streams are ignored — a miner must tolerate noise —
-        # but the diagnostics remember that a whole stream was skipped.
-        if diagnostics is not None:
-            diagnostics.recognized = False
-        for _record in records:  # drain so reader-side counters fill
-            pass
-        return []
-
-    # -- per-stream miners ------------------------------------------------------
-    def _mine_rm_stream(
-        self, daemon: str, records: Iterable[LogRecord]
-    ) -> List[SchedulingEvent]:
-        events: List[SchedulingEvent] = []
-        for record in records:
-            message = record.message
-            if message.startswith(msg.RM_APP_LINE_PREFIX) and record.cls.endswith(
-                "RMAppImpl"
-            ):
-                hit = msg.classify_rm_app_line(message)
-                if hit is not None:
-                    kind, app_id = hit
-                    events.append(
-                        SchedulingEvent(kind, record.timestamp, app_id, None, daemon)
-                    )
-            elif message.startswith(
-                msg.RM_CONTAINER_LINE_PREFIX
-            ) and record.cls.endswith("RMContainerImpl"):
-                hit = msg.classify_rm_container_line(message)
-                if hit is not None:
-                    kind, container_id = hit
-                    events.append(
-                        SchedulingEvent(
-                            kind,
-                            record.timestamp,
-                            msg.app_id_of_container(container_id),
-                            container_id,
-                            daemon,
-                        )
-                    )
-        return events
-
-    def _mine_nm_stream(
-        self, daemon: str, records: Iterable[LogRecord]
-    ) -> List[SchedulingEvent]:
-        events: List[SchedulingEvent] = []
-        for record in records:
-            if not record.message.startswith(msg.NM_CONTAINER_LINE_PREFIX):
-                continue
-            if not record.cls.endswith("ContainerImpl"):
-                continue
-            hit = msg.classify_nm_container_line(record.message)
-            if hit is None:
-                continue
-            kind, container_id = hit
-            events.append(
-                SchedulingEvent(
-                    kind,
-                    record.timestamp,
-                    msg.app_id_of_container(container_id),
-                    container_id,
-                    daemon,
-                )
-            )
-        return events
-
-    def _mine_container_stream(
-        self, daemon: str, records: Iterable[LogRecord]
-    ) -> List[SchedulingEvent]:
-        """A container's own log: FIRST_LOG, driver markers, FIRST_TASK.
-
-        The NM cannot tell when the launched process is actually up (it
-        blocks on the launch script — section III-B), so the stream's
-        first line marks the successful launch (messages 9/13).
-        """
-        container_id = daemon
-        app_id = msg.app_id_of_container(container_id)
-        events: List[SchedulingEvent] = []
-        stream = iter(records)
-        first = next(stream, None)
-        if first is None:
-            return events
-        events.append(
-            SchedulingEvent(
-                EventKind.INSTANCE_FIRST_LOG,
-                first.timestamp,
-                app_id,
-                container_id,
-                daemon,
-                source_class=first.cls,
-                detail=first.message,
-            )
-        )
-        saw_task = False
-        saw_mr_done = False
-        for record in itertools.chain((first,), stream):
-            hit = msg.classify_container_line(record.message)
-            if hit is None:
-                continue
-            kind, line_app_id = hit
-            if kind is EventKind.FIRST_TASK:
-                if saw_task:
-                    continue
-                saw_task = True
-            elif kind is EventKind.MR_TASK_DONE:
-                if saw_mr_done:
-                    continue
-                saw_mr_done = True
-            events.append(
-                SchedulingEvent(
-                    kind,
-                    record.timestamp,
-                    app_id if line_app_id is None else line_app_id,
-                    container_id,
-                    daemon,
-                    source_class=record.cls,
-                )
-            )
-        return events
-
-
-def _observe_duplicates(
-    records: Iterable[LogRecord], diagnostics: StreamDiagnostics
-) -> Iterator[LogRecord]:
-    """Pass records through, counting duplicates and backwards steps.
-
-    At-least-once log shippers re-deliver lines verbatim; downstream
-    grouping is immune (first-occurrence-by-kind), but the count is the
-    evidence a user needs to distrust event *multiplicities*.  A
-    timestamp going backwards (reorder jitter, clock trouble) is counted
-    for the same reason: first-occurrence timestamps survive any
-    within-stream reorder, but *positional* events (the stream's first
-    line) do not, so the ledger must flag disordered streams.
-    """
-    previous: Optional[LogRecord] = None
-    for record in records:
-        if previous is not None:
-            if record == previous:
-                diagnostics.duplicate_records += 1
-            elif record.timestamp < previous.timestamp:
-                diagnostics.out_of_order += 1
-        previous = record
-        yield record
-
-
-def _mine_stream_task(
-    task: _StreamTask,
-) -> Tuple[List[SchedulingEvent], StreamDiagnostics]:
-    """Worker entry point: mine one daemon stream (module-level for pickling)."""
-    daemon, records, paths, diagnostics = task
-    if diagnostics is None:
-        diagnostics = StreamDiagnostics(daemon=daemon)
-    if records is None:
-        records = iter_segment_records(
-            [Path(p) for p in paths], diagnostics=diagnostics
-        )
-    events = LogMiner()._mine_stream(daemon, records, diagnostics)
-    return events, diagnostics
 
 
 #: Block size for materializing a mapped memoryview's lines: big enough
@@ -589,7 +349,7 @@ def _scan_chunk(
     dropped_garbled, dropped_bad_timestamp, encoding_replacements,
     duplicate_records, out_of_order)``; the keys are ``(ts, level, cls,
     message)`` of the chunk's first and last parsed record (None when
-    nothing parsed), which :func:`_merge_stream_chunks` uses to stitch
+    nothing parsed), which :class:`StreamEventAccumulator` uses to stitch
     the duplicate/out-of-order ledger across chunk boundaries.
 
     The fast lane handles exactly the lines whose classification the
@@ -597,8 +357,8 @@ def _scan_chunk(
     bytes are an epoch-month timestamp.  Everything else — non-ASCII
     bytes, drifted timestamps, anything shape-ambiguous — falls through
     to :meth:`LogRecord.classify_parse` on the decoded line, so every
-    counter and every event agrees with the record-stream path
-    bit-for-bit.
+    counter and every event agrees with a line-by-line
+    ``classify_parse`` reading of the stream bit-for-bit.
     """
     if ts_memo is None:
         ts_memo = TimestampMemo()
@@ -615,7 +375,9 @@ def _scan_chunk(
     events: List[tuple] = []
     parsed = garbled = bad_ts = replacements = dups = ooo = 0
     # State of the previous *parsed* record for the duplicate /
-    # backwards-timestamp ledger (same semantics as _observe_duplicates).
+    # backwards-timestamp ledger: a record equal to its predecessor is a
+    # duplicate (an at-least-once shipper re-delivered it), one whose
+    # timestamp goes backwards is out of order.
     # The message text is kept lazily: between two fast-lane lines it is
     # compared as raw bytes; a decode only happens on the rare
     # timestamp-tie against a slow-lane record.
@@ -872,6 +634,20 @@ def _scan_chunk(
     return events, counters, first_key, last_key
 
 
+def _scan_serially(buffers: Iterable[tuple]) -> Iterator[tuple]:
+    """:func:`_scan_chunk` each ``(daemon, gate, buf)`` in order, in-process.
+
+    One memo pair spans the whole run, so a timestamp second or head
+    seen in any stream stays warm for the next; being a generator, it
+    keeps at most one buffer's lines materialized while the merge
+    consumes the scans.
+    """
+    ts_memo = TimestampMemo()
+    head_memo: dict = {}
+    for daemon, gate, buf in buffers:
+        yield _scan_chunk(daemon, gate, buf, ts_memo, head_memo)
+
+
 def _mine_chunk_task(task: _ChunkTask) -> bytes:
     """Worker entry point: read, scan, and wire-encode one chunk.
 
@@ -891,12 +667,13 @@ class StreamEventAccumulator:
     Chunks must be absorbed in (segment, offset) order, so
     concatenating their event tuples reproduces log order.  Three
     pieces of per-stream state span chunk boundaries and are
-    reconstructed here exactly as the record-stream path computes them:
+    reconstructed here exactly as one line-by-line pass would compute
+    them:
 
     * the duplicate / out-of-order ledger compares each chunk's first
       parsed record against the previous chunk's last — chunks with no
       parsed record are transparent, exactly like rotation segments
-      full of noise in the record-stream path;
+      full of noise in a line-by-line pass;
     * FIRST_TASK / MR_TASK_DONE keep only their first occurrence in
       the whole stream (the per-chunk flags only suppress repeats
       *within* a chunk);
@@ -1050,21 +827,8 @@ class StreamEventAccumulator:
         return acc
 
 
-def _merge_stream_chunks(
-    daemon: str,
-    gate: Optional[str],
-    segments: int,
-    scans: Iterable[tuple],
-) -> Tuple[List[SchedulingEvent], StreamDiagnostics]:
-    """Stitch one stream's per-chunk scans via :class:`StreamEventAccumulator`."""
-    acc = StreamEventAccumulator(daemon, gate, segments=segments)
-    for scan in scans:
-        acc.absorb(scan)
-    return acc.events(), acc.diagnostics()
-
-
 def _merge_plans(
-    plans: List[Tuple[str, Optional[str], int, List[_ChunkTask]]],
+    plans: List[_StreamPlan],
     scans: Iterable[tuple],
 ) -> Tuple[List[SchedulingEvent], MiningDiagnostics]:
     """The deterministic merge, consuming scans as a stream.
@@ -1124,10 +888,8 @@ def _jobs_from_env() -> Union[int, str, None]:
     return count
 
 
-def resolve_jobs(
-    jobs: Union[int, str], source: Union[LogStore, str, Path]
-) -> int:
-    """Resolve a jobs request (a count or :data:`AUTO_JOBS`) for ``source``.
+def resolve_jobs(jobs: Union[int, str], source: Union[str, Path]) -> int:
+    """Resolve a jobs request (a count or :data:`AUTO_JOBS`) for a directory.
 
     Precedence: an explicit count (the CLI's ``--jobs N``) always wins;
     otherwise the :data:`JOBS_ENV_VAR` environment override applies
@@ -1149,15 +911,12 @@ def resolve_jobs(
     cpus = available_cpus()
     if cpus <= 1:
         return 1
-    if isinstance(source, LogStore):
-        lines = len(source)
-    else:
-        total_bytes = sum(
-            path.stat().st_size
-            for _daemon, paths in stream_segments(source)
-            for path in paths
-        )
-        lines = total_bytes // _AUTO_BYTES_PER_LINE
+    total_bytes = sum(
+        path.stat().st_size
+        for _daemon, paths in stream_segments(source)
+        for path in paths
+    )
+    lines = total_bytes // _AUTO_BYTES_PER_LINE
     if lines < AUTO_SERIAL_THRESHOLD_LINES:
         return 1
     return min(cpus, _AUTO_MAX_JOBS)

@@ -46,6 +46,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.atomic import write_atomic
 from repro.core import messages as msg
 from repro.core.checker import analyze_events
 from repro.core.diagnostics import MiningDiagnostics
@@ -555,8 +556,7 @@ class LiveSession:
         self._polls_since_checkpoint = 0
 
     def save_checkpoint(self, path: str | Path) -> Path:
-        """Atomically persist cursors + mining state + app finality."""
-        path = Path(path)
+        """Crash-atomically persist cursors + mining state + app finality."""
         state = {
             "version": CHECKPOINT_VERSION,
             # "directory"/"tailer" (singular) kept for pre-multi-dir
@@ -574,10 +574,7 @@ class LiveSession:
         }
         if len(self.tailers) == 1:
             state["tailer"] = state["tailers"][0]
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(state), encoding="utf-8")
-        tmp.replace(path)
-        return path
+        return write_atomic(path, json.dumps(state))
 
     @classmethod
     def from_checkpoint(

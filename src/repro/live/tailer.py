@@ -14,8 +14,8 @@ directory is still growing, by keeping one cursor per physical file:
   batch reader's line-ownership protocol): bytes after the last newline
   are a record a writer may still be mid-way through, so they are held
   back and re-read once terminated — or flushed at :meth:`drain`, when
-  EOF ends the line exactly as :func:`~repro.logsys.store.iter_file_lines`
-  treats an unterminated tail;
+  EOF ends the line exactly as the batch reader
+  (:func:`~repro.logsys.store.read_chunk`) treats an unterminated tail;
 * a file whose name gained a rotation index is *closed*: it is read to
   EOF (unterminated tail included, newline-normalized so segment
   boundaries never glue two lines together) and finalized before any

@@ -7,9 +7,10 @@ log4j layout the paper mines::
     2018-01-12 10:23:45,123 INFO ClassName: message
 
 with 1 millisecond timestamp precision — the stated precision limit of
-SDchecker.  A :class:`LogStore` holds one stream per daemon and can be
-round-tripped through plain ``.log`` text files so that SDchecker always
-operates on rendered text, never on simulator internals.
+SDchecker.  A :class:`LogStore` holds one stream per daemon as its
+rendered log4j lines — the exact bytes of the ``.log`` file it dumps —
+so SDchecker always operates on rendered text, never on simulator
+internals, whether it mines the store or the dumped directory.
 """
 
 from repro.logsys.diagnostics import StreamDiagnostics

@@ -10,6 +10,7 @@ of SDchecker".
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -158,19 +159,32 @@ def format_timestamp(sim_seconds: float) -> str:
 
     The simulated clock starts at midnight of :data:`EPOCH_LABEL`; runs
     longer than 24 h roll the day-of-month forward (sufficient for the
-    month-long traces these experiments never reach).
+    month-long traces these experiments never reach).  Every log line
+    the simulator emits is rendered through here, so the
+    ``yyyy-MM-dd HH:mm:ss`` part is memoized per whole second
+    (:func:`_second_label`); only the millisecond digits are formatted
+    per call.
     """
     if sim_seconds < 0:
         raise ValueError(f"negative simulation time {sim_seconds!r}")
-    millis_total = int(round(sim_seconds * 1000.0))
-    days, rem = divmod(millis_total, _DAY * 1000)
-    secs, millis = divmod(rem, 1000)
+    whole, millis = divmod(int(round(sim_seconds * 1000.0)), 1000)
+    return f"{_second_label(whole)},{millis:03d}"
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _second_label(whole_seconds: int) -> str:
+    """``yyyy-MM-dd HH:mm:ss`` of one whole simulated second.
+
+    Bounded like :class:`TimestampMemo`: a simulation ticks through
+    seconds monotonically, so the cache only ever needs the recent ones.
+    """
+    days, secs = divmod(whole_seconds, _DAY)
     hours, rem_s = divmod(secs, 3600)
     minutes, seconds = divmod(rem_s, 60)
     year, month, day = (int(x) for x in EPOCH_LABEL.split("-"))
     return (
         f"{year:04d}-{month:02d}-{day + days:02d} "
-        f"{hours:02d}:{minutes:02d}:{seconds:02d},{millis:03d}"
+        f"{hours:02d}:{minutes:02d}:{seconds:02d}"
     )
 
 

@@ -7,12 +7,13 @@ follow the ``<daemon>.log`` convention so a directory of logs produced
 by :meth:`LogStore.dump` is exactly what SDchecker's offline CLI
 consumes.
 
-Reading is streaming-first: :meth:`LogStore.iter_records` and
-:func:`iter_file_records` yield one record at a time, so a million-line
-log never has to be materialized to be mined.  :meth:`LogStore.records`
-returns a cached immutable tuple view (rebuilt only after an append),
-which makes repeated per-daemon reads O(1) instead of a list copy per
-call.
+A store holds each stream as its rendered log4j lines, rendered once
+when the record is appended, so the store already *is* the log
+collection: :meth:`LogStore.data` is the exact byte content of the
+stream's file, :meth:`LogStore.dump` writes those bytes, and the miner
+scans them with the same byte scanner that mines a directory.  The
+paper's 1 ms timestamp precision therefore applies to in-memory runs
+and dumped logs alike.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.logsys.diagnostics import StreamDiagnostics
-from repro.logsys.record import PARSE_BAD_TIMESTAMP, LogRecord
+from repro.logsys.record import LogRecord
 
 try:  # pragma: no cover - exercised indirectly by the fallback tests
     import mmap as _mmap
@@ -37,12 +37,9 @@ __all__ = [
     "MMAP_ENV_VAR",
     "SealedStoreError",
     "chunk_window",
-    "iter_file_lines",
     "map_readonly",
     "mmap_enabled",
     "tail_chunk",
-    "iter_file_records",
-    "iter_segment_records",
     "partition_file",
     "read_chunk",
     "read_chunk_fast",
@@ -76,35 +73,6 @@ class SealedStoreError(RuntimeError):
     A ``RuntimeError`` subclass so pre-existing callers that caught the
     old generic exception keep working.
     """
-
-
-def iter_file_lines(path: str | Path, chunk_size: int = _CHUNK_SIZE) -> Iterator[str]:
-    """Yield the text lines of ``path`` reading fixed-size chunks.
-
-    Equivalent to ``path.read_text().splitlines()`` but with O(chunk)
-    memory: the file is never fully materialized.  Invalid UTF-8 bytes
-    (a crashed writer, bit rot, a truncated multi-byte character) are
-    replaced with U+FFFD instead of raising — real log collections are
-    not guaranteed to decode cleanly.
-
-    Lines are terminated by ``\\n`` only (``newline="\\n"`` disables
-    universal-newline translation): this is the log4j convention the
-    simulator writes, and it keeps the text reader line-for-line
-    identical with the byte-oriented fast path, which splits raw bytes
-    on ``\\n``.
-    """
-    tail = ""
-    with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as handle:
-        while True:
-            chunk = handle.read(chunk_size)
-            if not chunk:
-                break
-            chunk = tail + chunk
-            lines = chunk.split("\n")
-            tail = lines.pop()
-            yield from lines
-    if tail:
-        yield tail
 
 
 def partition_file(
@@ -141,7 +109,7 @@ def read_chunk(
     straddling ``end`` is read to completion here and skipped by the
     next range; the file's unterminated tail line has no trailing
     newline).  Splitting the buffer on ``\\n`` yields exactly the lines
-    :func:`iter_file_lines` would yield for this region, so
+    the whole file splits into for this region, so
     concatenating all ranges of :func:`partition_file` reconstructs the
     whole file with every line appearing exactly once.
 
@@ -322,7 +290,7 @@ def tail_chunk(path: str | Path, offset: int, size: int) -> Tuple[bytes, int]:
     writer may still be mid-record, so those bytes are not yet a line.
     The tailer re-reads them once the terminating newline lands (or
     flushes them at drain time, when EOF itself ends the line, exactly
-    as :func:`iter_file_lines` treats an unterminated tail).
+    as the batch reader treats a file's unterminated tail line).
     """
     if size <= offset:
         return b"", offset
@@ -333,46 +301,6 @@ def tail_chunk(path: str | Path, offset: int, size: int) -> Tuple[bytes, int]:
     if newline_at < 0:
         return b"", offset
     return buf[: newline_at + 1], offset + newline_at + 1
-
-
-def iter_file_records(
-    path: str | Path,
-    chunk_size: int = _CHUNK_SIZE,
-    diagnostics: Optional[StreamDiagnostics] = None,
-) -> Iterator[LogRecord]:
-    """Yield the parseable :class:`LogRecord` lines of one log file.
-
-    Unparseable lines (stack traces, wrapped output, a final record
-    truncated by a crash) are skipped, as a log miner must.  When a
-    :class:`StreamDiagnostics` is passed, every skipped line is counted
-    there by reason instead of disappearing silently.
-    """
-    for line in iter_file_lines(path, chunk_size):
-        record, outcome = LogRecord.classify_parse(line)
-        if diagnostics is not None:
-            diagnostics.lines_total += 1
-            if "�" in line:
-                diagnostics.encoding_replacements += 1
-            if record is not None:
-                diagnostics.records_parsed += 1
-            elif outcome == PARSE_BAD_TIMESTAMP:
-                diagnostics.dropped_bad_timestamp += 1
-            else:
-                diagnostics.dropped_garbled += 1
-        if record is not None:
-            yield record
-
-
-def iter_segment_records(
-    paths: Sequence[str | Path],
-    chunk_size: int = _CHUNK_SIZE,
-    diagnostics: Optional[StreamDiagnostics] = None,
-) -> Iterator[LogRecord]:
-    """Yield the records of one stream's rotation segments, oldest first."""
-    if diagnostics is not None:
-        diagnostics.segments = max(1, len(paths))
-    for path in paths:
-        yield from iter_file_records(path, chunk_size, diagnostics)
 
 
 def stream_segments(directory: str | Path) -> List[Tuple[str, List[Path]]]:
@@ -426,17 +354,14 @@ class DaemonLogger:
 
 
 class LogStore:
-    """All log streams of one simulated cluster run."""
+    """All log streams of one simulated cluster run, as log4j text."""
 
     def __init__(self):
-        self._streams: Dict[str, List[LogRecord]] = {}
-        #: daemon -> cached immutable view, invalidated by append().
-        self._views: Dict[str, Tuple[LogRecord, ...]] = {}
+        #: daemon -> the stream's rendered lines, without terminators.
+        self._streams: Dict[str, List[str]] = {}
+        #: daemon -> rotation segments :meth:`load` merged (default 1).
+        self._segments: Dict[str, int] = {}
         self._sealed = False
-        #: daemon -> what :meth:`load` tolerated while reading that
-        #: stream off disk.  Empty for stores built in memory, where
-        #: every record arrived well-formed by construction.
-        self.stream_diagnostics: Dict[str, StreamDiagnostics] = {}
 
     # -- writing ---------------------------------------------------------
     def logger(self, daemon: str, clock: Callable[[], float]) -> DaemonLogger:
@@ -445,21 +370,20 @@ class LogStore:
         return DaemonLogger(self, daemon, clock)
 
     def append(self, daemon: str, record: LogRecord) -> None:
+        """Render ``record`` once and append the line to its stream."""
         if self._sealed:
             raise SealedStoreError(
                 f"cannot append to stream {daemon!r}: the LogStore is "
                 "sealed — an offline log collection is complete and "
                 "immutable (build a new store for new records)"
             )
-        self._streams.setdefault(daemon, []).append(record)
-        self._views.pop(daemon, None)
+        self._streams.setdefault(daemon, []).append(record.render())
 
     def seal(self) -> "LogStore":
         """Freeze the store: further appends raise.
 
         A sealed store models an offline log collection — the run is
-        over, the files are what they are — so readers may hold onto
-        the tuple views from :meth:`records` indefinitely.
+        over, the files are what they are.
         """
         self._sealed = True
         return self
@@ -474,43 +398,42 @@ class LogStore:
         """Names of all streams, sorted for determinism."""
         return sorted(self._streams)
 
-    def records(self, daemon: str) -> Tuple[LogRecord, ...]:
-        """Records of one stream in emission order, as an immutable view.
+    def data(self, daemon: str) -> bytes:
+        """One stream's log file, byte for byte as :meth:`dump` writes it.
 
-        The tuple is cached: repeated calls between appends return the
-        same object instead of copying the backing list each time.
+        UTF-8, except that a lone surrogate (say, from text decoded
+        with ``surrogateescape``) is written as its invalid three-byte
+        sequence instead of raising: mining never raises on corrupted
+        input, and the miner counts such a line as an encoding
+        replacement exactly as it would in a file.
         """
-        view = self._views.get(daemon)
-        if view is None:
-            view = tuple(self._streams.get(daemon, ()))
-            self._views[daemon] = view
-        return view
+        lines = self._streams.get(daemon)
+        if not lines:
+            return b""
+        return ("\n".join(lines) + "\n").encode("utf-8", errors="surrogatepass")
 
-    def iter_records(self, daemon: str) -> Iterator[LogRecord]:
-        """Lazily yield one stream's records in emission order."""
-        yield from self._streams.get(daemon, ())
-
-    def iter_lines(self, daemon: str) -> Iterator[str]:
-        """Lazily yield one stream's rendered text lines."""
-        for record in self.iter_records(daemon):
-            yield record.render()
-
-    def all_records(self) -> Iterator[tuple[str, LogRecord]]:
-        """(daemon, record) pairs across all streams, per-stream order."""
-        for daemon in self.daemons:
-            for record in self._streams[daemon]:
-                yield daemon, record
+    def segments(self, daemon: str) -> int:
+        """How many rotation segments the stream was loaded from."""
+        return self._segments.get(daemon, 1)
 
     def render(self, daemon: str) -> List[str]:
-        """The rendered text lines of one stream."""
-        return [r.render() for r in self._streams.get(daemon, [])]
+        """The text lines of one stream."""
+        return list(self._streams.get(daemon, ()))
+
+    def records(self, daemon: str) -> Tuple[LogRecord, ...]:
+        """The parseable lines of one stream, parsed, in log order.
+
+        Timestamps carry the log4j millisecond precision of the text.
+        """
+        parsed = map(LogRecord.try_parse, self._streams.get(daemon, ()))
+        return tuple(record for record in parsed if record is not None)
 
     def __len__(self) -> int:
         return sum(len(v) for v in self._streams.values())
 
     # -- file round-trip ---------------------------------------------------
     def dump(self, directory: str | Path) -> List[Path]:
-        """Write each stream to ``<directory>/<daemon>.log`` (UTF-8).
+        """Write each stream to ``<directory>/<daemon>.log``.
 
         An empty stream becomes an empty file — not a lone newline —
         so ``load(dump(store))`` is an identity on stream structure.
@@ -520,10 +443,7 @@ class LogStore:
         written = []
         for daemon in self.daemons:
             path = directory / f"{daemon}.log"
-            path.write_text(
-                "".join(line + "\n" for line in self.iter_lines(daemon)),
-                encoding="utf-8",
-            )
+            path.write_bytes(self.data(daemon))
             written.append(path)
         return written
 
@@ -532,43 +452,34 @@ class LogStore:
         """Read every log stream in ``directory`` back into a store.
 
         Rotated segments (``<daemon>.log.N``) are merged into their
-        stream in chronological order.  Unparseable lines (stack traces,
-        wrapped output, truncated trailing records, invalid bytes) are
-        skipped and counted in :attr:`stream_diagnostics`, as a log
-        miner must.  A file with no parseable lines still registers its
-        (empty) stream, and the returned store is sealed — the files on
-        disk are the complete run.
+        stream in chronological order.  Every line is kept — unparseable
+        ones included, so mining the store counts them exactly as
+        mining the directory does — and invalid UTF-8 bytes become
+        U+FFFD.  The returned store is sealed: the files on disk are
+        the complete run.
         """
         store = cls()
         for daemon, paths in stream_segments(directory):
-            store._streams.setdefault(daemon, [])
-            diagnostics = StreamDiagnostics(daemon=daemon)
-            for record in iter_segment_records(paths, diagnostics=diagnostics):
-                store.append(daemon, record)
-            store.stream_diagnostics[daemon] = diagnostics
+            lines = store._streams[daemon] = []
+            for path in paths:
+                text = path.read_bytes().decode("utf-8", errors="replace")
+                segment = text.split("\n")
+                if segment[-1] == "":
+                    segment.pop()  # the final terminator, not an empty line
+                lines.extend(segment)
+            store._segments[daemon] = len(paths)
         return store.seal()
 
     @classmethod
     def from_lines(cls, named_lines: Iterable[tuple[str, str]]) -> "LogStore":
         """Build a store from (daemon, text-line) pairs.
 
-        Unparseable lines are skipped and counted per stream in
-        :attr:`stream_diagnostics`, mirroring :meth:`load`.
+        Lines are kept verbatim, unparseable ones included: mining
+        skips and counts them per stream, as it does for a directory.
         """
         store = cls()
         for daemon, line in named_lines:
-            diagnostics = store.stream_diagnostics.setdefault(
-                daemon, StreamDiagnostics(daemon=daemon)
-            )
-            diagnostics.lines_total += 1
-            record, outcome = LogRecord.classify_parse(line)
-            if record is not None:
-                diagnostics.records_parsed += 1
-                store.append(daemon, record)
-            elif outcome == PARSE_BAD_TIMESTAMP:
-                diagnostics.dropped_bad_timestamp += 1
-            else:
-                diagnostics.dropped_garbled += 1
+            store._streams.setdefault(daemon, []).append(line)
         return store
 
 

@@ -152,3 +152,29 @@ class TestApplyOverrides:
         variant = apply_overrides(base, {"nm_hearbeat_s": 0.5})
         with pytest.raises((TypeError, ValueError)):
             variant.build(11)
+
+
+class TestTrialDoesNoFilesystemIO:
+    """A trial mines the in-memory store: no temp dir, no dumped file."""
+
+    def test_trial_scores_with_the_filesystem_forbidden(self, monkeypatch):
+        import tempfile
+        from pathlib import Path
+
+        from repro.calibrate import DEFAULT_WEIGHTS, self_target
+        from repro.calibrate.objective import evaluate_candidate
+
+        scenario = get_scenario("diurnal-burst")
+        seed = scenario.default_seed
+        target = self_target(scenario, seed)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("filesystem I/O inside a calibration trial")
+
+        for name in ("TemporaryDirectory", "mkdtemp", "mkstemp", "NamedTemporaryFile"):
+            monkeypatch.setattr(tempfile, name, forbidden)
+        for name in ("write_text", "write_bytes", "mkdir", "open"):
+            monkeypatch.setattr(Path, name, forbidden)
+        trial = evaluate_candidate(scenario, {}, seed, target, DEFAULT_WEIGHTS)
+        assert trial.failure is None
+        assert trial.error == 0.0

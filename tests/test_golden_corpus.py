@@ -16,8 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.checker import SDChecker
+from repro.core.checker import SDChecker, analyze_events
 from repro.faults import corrupt_copy
+from tests.reference_miner import ReferenceMiner
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN = DATA / "golden"
@@ -45,17 +46,13 @@ class TestCleanCorpus:
         """Byte-identity of the byte-oriented fast path at --jobs {1, 4}.
 
         The report (including the diagnostics ledger) must match both
-        the pinned snapshot and a live run of the legacy record-stream
-        miner.
+        the pinned snapshot and a live run of the record-stream
+        reference miner.
         """
-        from repro.core.parser import LogMiner
-
         checker = SDChecker(jobs=jobs)
         report = checker.analyze(GOLDEN)
         assert report.to_dict() == expected
-        legacy_checker = SDChecker(jobs=jobs)
-        legacy_checker._miner = LogMiner(fast=False)
-        legacy = legacy_checker.analyze(GOLDEN)
+        legacy = analyze_events(*ReferenceMiner().mine_with_diagnostics(GOLDEN))
         assert report.to_dict(include_diagnostics=True) == legacy.to_dict(
             include_diagnostics=True
         )

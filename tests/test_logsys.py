@@ -3,15 +3,32 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.parser import LogMiner
 from repro.logsys.diagnostics import StreamDiagnostics
-from repro.logsys.record import LogRecord, format_timestamp, parse_timestamp
-from repro.logsys.store import (
-    LogStore,
-    SealedStoreError,
-    iter_file_records,
-    stream_segments,
-    tail_chunk,
-)
+from repro.logsys.record import EPOCH_LABEL, LogRecord, format_timestamp, parse_timestamp
+from repro.logsys.store import LogStore, SealedStoreError, stream_segments, tail_chunk
+from tests.reference_miner import iter_file_records
+
+
+def _stream_ledger(store, daemon):
+    """What mining ``store`` recorded for one stream."""
+    return LogMiner().mine_with_diagnostics(store)[1].streams[daemon]
+
+
+def _unmemoized_format(sim_seconds):
+    """The log4j timestamp formula, computed from scratch on every call."""
+    if sim_seconds < 0:
+        raise ValueError(f"negative simulation time {sim_seconds!r}")
+    millis_total = int(round(sim_seconds * 1000.0))
+    days, rem = divmod(millis_total, 86_400 * 1000)
+    secs, millis = divmod(rem, 1000)
+    hours, rem_s = divmod(secs, 3600)
+    minutes, seconds = divmod(rem_s, 60)
+    year, month, day = (int(x) for x in EPOCH_LABEL.split("-"))
+    return (
+        f"{year:04d}-{month:02d}-{day + days:02d} "
+        f"{hours:02d}:{minutes:02d}:{seconds:02d},{millis:03d}"
+    )
 
 
 class TestTimestampFormat:
@@ -28,6 +45,44 @@ class TestTimestampFormat:
     def test_day_rollover(self):
         rendered = format_timestamp(86_400.0 + 3600.0)
         assert rendered.startswith("2018-01-13 01:00:00")
+
+    @pytest.mark.parametrize(
+        "seconds",
+        [
+            0.0005,  # half a millisecond: round-half-even keeps ,000
+            0.0015,
+            2.0005,
+            59.9995,  # rounds up across a second boundary
+            0.9996,
+            3599.9999,  # ... across the hour
+            86_399.9996,  # ... across midnight into the next day
+            86_400.0,  # day rollover exactly
+            86_400.0 * 3 + 0.5,
+        ],
+    )
+    def test_memo_matches_formula_at_edges(self, seconds):
+        assert format_timestamp(seconds) == _unmemoized_format(seconds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=86_400.0 * 10),
+            # Half-millisecond and just-below-a-second values, where the
+            # rounding decides the second the memo is keyed by.
+            st.integers(0, 86_400 * 10_000).map(lambda n: n / 1000 + 0.0005),
+            st.integers(0, 86_400 * 10).map(lambda n: n + 0.9996),
+        )
+    )
+    def test_memoized_format_is_the_formula(self, seconds):
+        # Rendered twice: the second call is served from the memo.
+        assert format_timestamp(seconds) == _unmemoized_format(seconds)
+        assert format_timestamp(seconds) == _unmemoized_format(seconds)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(max_value=-1e-12, allow_nan=False))
+    def test_every_negative_value_is_rejected(self, seconds):
+        with pytest.raises(ValueError):
+            format_timestamp(seconds)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=0.0, max_value=86_400.0 * 10))
@@ -118,12 +173,22 @@ class TestLogStore:
         assert len(store.records("d1")) == 1
         assert len(store.records("d2")) == 1
 
-    def test_all_records_iterates_in_daemon_order(self):
+    def test_lines_are_rendered_at_append(self):
         store = LogStore()
-        store.logger("b", lambda: 0.0).info("C", "m1")
-        store.logger("a", lambda: 0.0).info("C", "m2")
-        daemons = [d for d, _r in store.all_records()]
-        assert daemons == ["a", "b"]
+        now = [1.2345678]
+        store.logger("d", lambda: now[0]).info("C", "m")
+        now[0] = 99.0  # a later clock reading must not re-render the line
+        assert store.render("d") == ["2018-01-12 00:00:01,235 INFO C: m"]
+        assert store.data("d") == b"2018-01-12 00:00:01,235 INFO C: m\n"
+
+    def test_data_is_the_dumped_file(self, tmp_path):
+        store = LogStore.from_lines(
+            [("d", "2018-01-12 00:00:00,000 INFO X: m"), ("d", "noise"), ("e", "x")]
+        )
+        store.logger("quiet", lambda: 0.0)
+        store.dump(tmp_path)
+        for daemon in store.daemons:
+            assert (tmp_path / f"{daemon}.log").read_bytes() == store.data(daemon)
 
 
 class TestReaderTolerance:
@@ -145,7 +210,7 @@ class TestReaderTolerance:
         records = store.records("daemon")
         assert [r.cls for r in records] == ["A", "B", "C"]
         assert "�" in records[1].message
-        diagnostics = store.stream_diagnostics["daemon"]
+        diagnostics = _stream_ledger(store, "daemon")
         assert diagnostics.encoding_replacements == 1
 
     def test_truncated_trailing_record_is_skipped(self, tmp_path):
@@ -154,7 +219,7 @@ class TestReaderTolerance:
         (tmp_path / "daemon.log").write_text(complete + truncated)
         store = LogStore.load(tmp_path)  # must not raise
         assert [r.cls for r in store.records("daemon")] == ["A"]
-        diagnostics = store.stream_diagnostics["daemon"]
+        diagnostics = _stream_ledger(store, "daemon")
         assert diagnostics.lines_total == 2
         assert diagnostics.records_parsed == 1
         assert diagnostics.dropped_garbled == 1
@@ -189,21 +254,16 @@ class TestReaderTolerance:
         ]
         store = LogStore.load(tmp_path)
         assert [r.cls for r in store.records("daemon")] == ["Old", "Mid", "New"]
-        assert store.stream_diagnostics["daemon"].segments == 3
+        assert _stream_ledger(store, "daemon").segments == 3
 
 
 class TestRecordsView:
-    """records() is an immutable cached view, not a per-call copy."""
+    """records() is an immutable parsed view of the stored lines."""
 
     def test_returns_tuple(self):
         store = LogStore()
         store.logger("d", lambda: 0.0).info("C", "m")
         assert isinstance(store.records("d"), tuple)
-
-    def test_repeated_calls_share_the_view(self):
-        store = LogStore()
-        store.logger("d", lambda: 0.0).info("C", "m")
-        assert store.records("d") is store.records("d")
 
     def test_append_invalidates_the_view(self):
         store = LogStore()

@@ -1,12 +1,12 @@
-"""Byte-oriented fast-path tests: chunk partitioning, two-phase
-scanning, and byte-identity against the legacy record-stream miner.
+"""Byte-oriented miner tests: chunk partitioning, two-phase scanning,
+and byte-identity against the record-stream reference miner.
 
 The contract under test is exactness: for any directory corpus —
 including garbled bytes, drifted timestamps, duplicates, rotation
-segments, and adversarial chunk boundaries — ``LogMiner(fast=True)``
-must produce the same events *and the same diagnostics ledger* as
-``LogMiner(fast=False)``, serially and at any job count, for any chunk
-size.
+segments, and adversarial chunk boundaries — :class:`LogMiner` must
+produce the same events *and the same diagnostics ledger* as the
+line-by-line oracle in ``tests/reference_miner.py``, serially and at
+any job count, for any chunk size.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from repro.core.parser import (
 )
 from repro.logsys.diagnostics import StreamDiagnostics
 from repro.logsys.record import LogRecord
-from repro.logsys.store import LogStore, iter_file_lines, partition_file, read_chunk
+from repro.logsys.store import partition_file, read_chunk
+from tests.reference_miner import ReferenceMiner, iter_file_lines
 
 RM = "hadoop-resourcemanager"
 NM = "hadoop-nodemanager-node01"
@@ -47,13 +48,13 @@ def _diag_dict(diagnostics):
 
 
 def _assert_identical(directory):
-    """Fast path == legacy, at jobs 1 and 4, whole-file and tiny chunks."""
-    legacy_events, legacy_diag = LogMiner(fast=False).mine_with_diagnostics(directory)
+    """Byte miner == reference, at jobs 1 and 4, whole-file and tiny chunks."""
+    legacy_events, legacy_diag = ReferenceMiner().mine_with_diagnostics(directory)
     configs = (
-        (LogMiner(fast=True), 1),
-        (LogMiner(fast=True), 4),
-        (LogMiner(fast=True, **TINY), 1),
-        (LogMiner(fast=True, **TINY), 4),
+        (LogMiner(), 1),
+        (LogMiner(), 4),
+        (LogMiner(**TINY), 1),
+        (LogMiner(**TINY), 4),
     )
     for miner, jobs in configs:
         if jobs == 1:
@@ -211,9 +212,7 @@ class TestFastPathIdentity:
         line = "2018-01-12 00:00:05,000 INFO x.Exec: repeated message padpad"
         early = "2018-01-12 00:00:01,000 INFO x.Exec: backwards jump padpad"
         _write(tmp_path, f"{EXEC}.log", [line, line, line, early, line, line])
-        legacy_events, legacy_diag = LogMiner(fast=False).mine_with_diagnostics(
-            tmp_path
-        )
+        legacy_events, legacy_diag = ReferenceMiner().mine_with_diagnostics(tmp_path)
         stream = legacy_diag.streams[EXEC]
         assert stream.duplicate_records == 3 and stream.out_of_order == 1
         _assert_identical(tmp_path)
@@ -222,7 +221,7 @@ class TestFastPathIdentity:
         line = "2018-01-12 00:00:05,000 INFO x.Exec: spans the rotation"
         _write(tmp_path, f"{EXEC}.log.1", [line])
         _write(tmp_path, f"{EXEC}.log", [line])
-        _, diag = LogMiner(fast=True).mine_with_diagnostics(tmp_path)
+        _, diag = LogMiner().mine_with_diagnostics(tmp_path)
         assert diag.streams[EXEC].duplicate_records == 1
         _assert_identical(tmp_path)
 
@@ -242,7 +241,7 @@ class TestFastPathIdentity:
         _write(tmp_path, "unknown-daemon.log", ["2018-01-12 00:00:01,000 INFO C: x"])
         events = _assert_identical(tmp_path)
         assert events == []
-        _, diag = LogMiner(fast=True).mine_with_diagnostics(tmp_path)
+        _, diag = LogMiner().mine_with_diagnostics(tmp_path)
         assert not diag.streams["unknown-daemon"].recognized
         assert diag.streams[EXEC].lines_total == 0
 
@@ -298,8 +297,8 @@ class TestFirstEventIndexEquivalence:
                 "2018-01-12 00:00:05,000 INFO x.Exec: Got assigned task 0",
             ],
         )
-        fast_traces = group_events(LogMiner(fast=True, **TINY).mine(tmp_path))
-        legacy_traces = group_events(LogMiner(fast=False).mine(tmp_path))
+        fast_traces = group_events(LogMiner(**TINY).mine(tmp_path))
+        legacy_traces = group_events(ReferenceMiner().mine(tmp_path))
         assert fast_traces.keys() == legacy_traces.keys()
         for app_id in fast_traces:
             fast_trace, legacy_trace = fast_traces[app_id], legacy_traces[app_id]
@@ -308,7 +307,7 @@ class TestFirstEventIndexEquivalence:
 
 
 class TestGateKind:
-    """Phase-1 gating must mirror the legacy per-daemon dispatch."""
+    """Phase-1 gating must mirror the reference per-daemon dispatch."""
 
     @pytest.mark.parametrize(
         "daemon,expected",
@@ -375,7 +374,6 @@ class TestResolveJobs:
         monkeypatch.setattr(parser_mod, "available_cpus", lambda: 8)
         (tmp_path / "small.log").write_bytes(b"short corpus\n")
         assert resolve_jobs(AUTO_JOBS, tmp_path) == 1
-        assert resolve_jobs(AUTO_JOBS, LogStore()) == 1
 
     def test_auto_parallelizes_large_directories(self, tmp_path, monkeypatch):
         import repro.core.parser as parser_mod

@@ -15,10 +15,11 @@ from repro.core import messages as msg
 from repro.core.events import EventKind, SchedulingEvent
 from repro.core.grouping import ApplicationTrace, ContainerTrace
 from repro.core.parser import LogMiner
-from repro.logsys.store import LogStore, iter_file_lines, iter_file_records
+from repro.logsys.store import LogStore
 from repro.params import SimulationParams
 from repro.testbed import Testbed
 from tests.conftest import make_query_app
+from tests.reference_miner import iter_file_lines, iter_file_records
 
 APP = "application_1515715200000_0001"
 CONTAINER = "container_1515715200000_0001_01_000002"
@@ -59,13 +60,22 @@ class TestParallelEquivalence:
         assert miner.mine_parallel(corpus_dir, jobs=4) == serial
 
     def test_directory_agrees_with_store(self, corpus_store, corpus_dir):
-        # Dumping to disk and re-mining must not change the events
-        # (modulo the millisecond quantization both sides share).
-        from_store = LogMiner().mine(corpus_store)
-        from_dir = LogMiner().mine(corpus_dir)
-        assert [
-            (e.kind, e.app_id, e.container_id, e.daemon) for e in from_store
-        ] == [(e.kind, e.app_id, e.container_id, e.daemon) for e in from_dir]
+        # The store holds the dumped bytes, so mining either is the
+        # same scan: events and diagnostics are identical.
+        from_store = LogMiner().mine_with_diagnostics(corpus_store)
+        from_dir = LogMiner().mine_with_diagnostics(corpus_dir)
+        assert from_store[0] == from_dir[0]
+        assert from_store[1].to_dict() == from_dir[1].to_dict()
+
+    def test_store_never_starts_a_worker_pool(self, corpus_store, monkeypatch):
+        import repro.core.parser as parser_mod
+
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("a LogStore must be mined in-process")
+
+        monkeypatch.setattr(parser_mod, "ProcessPoolExecutor", no_pool)
+        serial = LogMiner().mine(corpus_store)
+        assert LogMiner().mine_parallel(corpus_store, jobs=4) == serial
 
     def test_jobs_do_not_change_downstream_analysis(self, corpus_dir):
         from repro.core.checker import SDChecker
@@ -79,15 +89,7 @@ class TestParallelEquivalence:
 
 
 class TestStreamingReaders:
-    def test_iter_records_is_lazy_and_complete(self, corpus_store):
-        daemon = corpus_store.daemons[0]
-        it = corpus_store.iter_records(daemon)
-        assert iter(it) is it  # a generator, not a materialized copy
-        assert tuple(it) == corpus_store.records(daemon)
-
-    def test_iter_lines_matches_render(self, corpus_store):
-        daemon = corpus_store.daemons[0]
-        assert list(corpus_store.iter_lines(daemon)) == corpus_store.render(daemon)
+    """The reference miner's chunked text readers (tests/reference_miner.py)."""
 
     def test_chunked_file_reader_matches_read_text(self, tmp_path):
         lines = [f"2018-01-12 00:00:0{i},000 INFO Cls: line {i}" for i in range(8)]

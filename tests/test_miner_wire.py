@@ -185,7 +185,7 @@ class TestMinerMmapToggle:
     """LogMiner output is invariant under REPRO_MMAP, incl. rotation."""
 
     def _mine_both(self, directory, monkeypatch):
-        miner = LogMiner(fast=True, split_threshold=64, chunk_target=48)
+        miner = LogMiner(split_threshold=64, chunk_target=48)
         monkeypatch.setenv(MMAP_ENV_VAR, "1")
         assert mmap_enabled()
         with_mmap = miner.mine_with_diagnostics(str(directory))

@@ -6,8 +6,10 @@ pinned by a committed mined-report snapshot at its preset seed
 ``tests/data/regen_golden.py``).  Any change to arrival sampling,
 tenant routing, scheduler behaviour, preemption policy, cluster-event
 handling, log rendering, or the decomposition shows up as a snapshot
-diff — and mining a scenario in parallel (``--jobs 4``) must match the
-sequential report byte for byte.
+diff.  The in-memory store holds the bytes a dump writes, so mining
+the store must match mining the dumped directory byte for byte — with
+diagnostics, for every preset and for generated scenarios and stores —
+and mining the directory in parallel (``--jobs 4``) must match both.
 
 These are full end-to-end runs (generate → mine → export), so the
 acceptance properties ride along: the preemption preset must actually
@@ -21,10 +23,13 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.checker import SDChecker
 from repro.core.decompose import BREAKDOWN_COMPONENTS
+from repro.logsys.store import LogStore
 from repro.workloads.scenarios import SCENARIO_PRESETS, get_scenario, list_scenarios
+from tests.test_scenarios_properties import scenarios
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -35,13 +40,24 @@ def snapshot_path(name: str) -> Path:
     return DATA / f"scenario_{name.replace('-', '_')}_expected.json"
 
 
+def blob(report) -> str:
+    """A report with its diagnostics, as canonical JSON text."""
+    return json.dumps(report.to_dict(include_diagnostics=True), indent=2, sort_keys=True)
+
+
+def assert_store_mines_as_dump(store: LogStore, logdir: Path) -> None:
+    """``analyze(store)`` is byte-identical to ``analyze(dump(store))``."""
+    store.dump(logdir)
+    assert blob(SDChecker().analyze(store)) == blob(SDChecker().analyze(logdir))
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """Each preset simulated once at its pinned seed (shared by tests).
 
-    Yields ``name -> (ScenarioRun, dumped-log directory)``; the
-    snapshots pin the *dumped* logs (millisecond log4j timestamps),
-    so comparisons mine the directory, not the in-memory store.
+    Yields ``name -> (ScenarioRun, dumped-log directory)``: the run's
+    report was mined from the in-memory store, the directory holds the
+    same logs dumped to disk.
     """
     out = {}
     for name in PRESETS:
@@ -59,9 +75,14 @@ class TestSnapshots:
 
     @pytest.mark.parametrize("name", PRESETS)
     def test_matches_snapshot(self, name, runs):
-        _, logdir = runs[name]
+        run, _ = runs[name]
         expected = json.loads(snapshot_path(name).read_text())
-        assert SDChecker().analyze(logdir).to_dict() == expected
+        assert run.report.to_dict() == expected
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_store_mines_as_its_dumped_directory(self, name, runs):
+        run, logdir = runs[name]
+        assert blob(run.report) == blob(SDChecker().analyze(logdir))
 
     @pytest.mark.parametrize("name", PRESETS)
     def test_parallel_mining_is_byte_identical(self, name, runs):
@@ -69,12 +90,66 @@ class TestSnapshots:
         _, logdir = runs[name]
         sequential = SDChecker(jobs=1).analyze(logdir)
         parallel = SDChecker(jobs=4).analyze(logdir)
-        blob = lambda r: json.dumps(
-            r.to_dict(include_diagnostics=True), indent=2, sort_keys=True
-        )
         assert blob(sequential) == blob(parallel)
         expected = json.loads(snapshot_path(name).read_text())
         assert parallel.to_dict() == expected
+
+
+_STORE_SETTINGS = settings(
+    max_examples=4,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+RM = "hadoop-resourcemanager"
+EXEC = "container_1515715200000_0001_01_000002"
+APP = "application_1515715200000_0001"
+
+#: Lines a hand-built store may hold: well-formed records, a duplicate,
+#: a backwards timestamp, garbled noise, a month-drifted (bad) and an
+#: hour-overflow timestamp, invalid-digit and non-ASCII text.
+STORE_LINES = (
+    f"2018-01-12 00:00:01,000 INFO x.RMAppImpl: {APP} State change from NEW to SUBMITTED on event = START",
+    f"2018-01-12 00:00:02,000 INFO x.RMAppImpl: {APP} State change from SUBMITTED to ACCEPTED on event = APP_ACCEPTED",
+    f"2018-01-12 00:00:03,000 INFO x.RMContainerImpl: {EXEC} Container Transitioned from NEW to ALLOCATED",
+    "2018-01-12 00:00:04,000 INFO x.Exec: Got assigned task 3",
+    "2018-01-12 00:00:04,000 INFO x.Exec: Got assigned task 3",
+    "2018-01-12 00:00:00,500 INFO x.Exec: backwards chatter",
+    "java.io.IOException: broken pipe",
+    "\tat Foo.bar(Foo.java:1)",
+    "",
+    "2018-02-12 00:00:05,000 INFO x.Cls: drifted month",
+    "2018-01-12 25:00:00,000 INFO x.Cls: hour alias of the next day",
+    "2018-01-12 00:00:0٣,000 INFO x.Cls: unicode digit",
+    "2018-01-12 00:00:06,000 INFO x.Cls: café ünïcode",
+    "2018-01-12 00:00:07,1",
+    "2018-01-12 00:00:08,000 INFO x.Cls: lone surrogate \udcff from surrogateescape",
+)
+
+
+class TestStoreMinesAsDump:
+    """Mining a store is mining the directory it dumps, byte for byte."""
+
+    @given(data=st.data())
+    @_STORE_SETTINGS
+    def test_generated_scenarios(self, data, tmp_path_factory):
+        run = scenarios(data.draw).run()
+        logdir = tmp_path_factory.mktemp("gen-store") / "logs"
+        assert_store_mines_as_dump(run.testbed.log_store, logdir)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([RM, EXEC, "hadoop-nodemanager-node01", "weird"]),
+                st.sampled_from(STORE_LINES),
+            ),
+            max_size=30,
+        )
+    )
+    def test_stores_from_lines(self, rows, tmp_path_factory):
+        logdir = tmp_path_factory.mktemp("lines-store") / "logs"
+        assert_store_mines_as_dump(LogStore.from_lines(rows), logdir)
 
 
 class TestAcceptanceProperties:
@@ -186,6 +261,16 @@ class TestCLI:
         assert "No module named" not in proc.stderr
         for name in PRESETS:
             assert name in proc.stderr
+
+    @pytest.mark.parametrize("argv", [["--jobs", "4"], ["--jobs"]])
+    def test_jobs_flag_is_rejected(self, argv, capsys):
+        """Stores are mined in-process: the scenario CLI has no --jobs."""
+        from repro.experiments.__main__ import main
+
+        assert main(["scenario", "autoscale-out", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "unknown option '--jobs'" in captured.err
+        assert not captured.out
 
     def test_run_smallest_preset_prints_new_components(self, capsys):
         from repro.experiments.__main__ import main
